@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json bench-check bench-check-warn corpus-bench repro tables figures ablations fuzz fuzz-short goldens clean
+.PHONY: all build perfbench-check test vet race telemetry-check chaos chaos-serve serve-check verify frontend-check pareto workloads-check bench bench-json bench-check bench-check-warn corpus-bench repro tables figures ablations fuzz fuzz-short goldens clean
 
-all: build vet test race telemetry-check chaos serve-check verify frontend-check pareto workloads-check bench-check-warn
+all: build perfbench-check vet test race telemetry-check chaos serve-check verify frontend-check pareto workloads-check bench-check-warn
 
 # Differential-oracle gate: record-or-load the whole benchmark corpus, then
 # replay every trace through each context-free scheme and its deliberately
@@ -91,6 +91,13 @@ telemetry-check:
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is a nested module (perfbench/go.mod) that root
+# `go build ./...` skips, so an API it imports could vanish unnoticed until
+# benchmark time. Vet and test it against this checkout (~5 s).
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 vet:
 	$(GO) vet ./...

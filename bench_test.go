@@ -7,6 +7,7 @@ package branchcost_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -362,7 +363,8 @@ func BenchmarkAsmRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceReplay measures trace-file decode + evaluator throughput.
+// BenchmarkTraceReplay measures BCT2 trace-file decode + evaluator
+// throughput.
 func BenchmarkTraceReplay(b *testing.B) {
 	bench, err := workloads.ByName("wc")
 	if err != nil {
@@ -372,8 +374,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf seekBuffer
-	tw, err := tracefile.NewWriter(&buf)
+	var buf bytes.Buffer
+	tw, err := tracefile.NewBCT2Writer(&buf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,45 +389,16 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := tracefile.NewReader(bytes.NewReader(data))
+		tr, err := tracefile.NewBCT2Reader(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ev := &predict.Evaluator{P: btb.NewCBTB(256, 256, 2, 2)}
-		if err := tr.Replay(ev.Hook()); err != nil {
+		if err := tracefile.ScoreStream(context.Background(), tr, ev.Hook()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// seekBuffer is an in-memory io.WriteSeeker for the trace bench.
-type seekBuffer struct {
-	data []byte
-	at   int
-}
-
-func (s *seekBuffer) Write(p []byte) (int, error) {
-	if s.at+len(p) > len(s.data) {
-		s.data = append(s.data, make([]byte, s.at+len(p)-len(s.data))...)
-	}
-	copy(s.data[s.at:], p)
-	s.at += len(p)
-	return len(p), nil
-}
-
-func (s *seekBuffer) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		s.at = int(off)
-	case 1:
-		s.at += int(off)
-	case 2:
-		s.at = len(s.data) + int(off)
-	}
-	return int64(s.at), nil
-}
-
-func (s *seekBuffer) Bytes() []byte { return s.data }
 
 // BenchmarkPipesim measures the stage-level simulator over one benchmark
 // run at width 4.

@@ -194,10 +194,10 @@ type Superscalar = pipeline.Superscalar
 // with the sustained instruction fetch rate R: penalty = 1 + R·(P−1).
 type VariableFetch = pipeline.VariableFetch
 
-// Config selects hardware parameters and the scheme list for a full
-// evaluation; the zero value is the paper's configuration. Pointer fields
-// (CounterThreshold, EvalSlots) distinguish "unset" from an explicit zero —
-// build them with Ptr.
+// Config selects per-scheme configurations (SchemeConfigs, a ConfigSet)
+// and the scheme list for a full evaluation; the zero value is the paper's
+// configuration. The pointer field EvalSlots distinguishes "unset" from an
+// explicit zero — build it with Ptr.
 type Config = core.Config
 
 // Ptr returns a pointer to v, for Config's pointer-valued fields.
@@ -212,8 +212,8 @@ type Eval = core.Eval
 type SchemeResult = core.SchemeResult
 
 // Trace is the recorded branch-event stream an evaluation replays; it can
-// be replayed again (Replay, ScoreParallel) or serialized (WriteTo /
-// WriteTrace).
+// be replayed again (Replay, ScoreParallelContext) or serialized as BCT2
+// (WriteTo / WriteTrace).
 type Trace = tracefile.Trace
 
 // RecordTrace executes the program over the input suite and returns the

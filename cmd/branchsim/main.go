@@ -18,9 +18,11 @@
 //	branchsim -attr -topk 10 -attr-json attr.json  # mispredict attribution report
 //
 // Hardware configuration knobs (-entries, -assoc, -bits, -threshold,
-// -slots) default to the paper's configuration; -scheme-opt scheme.key=value
-// (repeatable) overrides any registered scheme's typed configuration. -width selects the fetch
-// widths of the frontend sweep/check (default 1,2,4,8).
+// -slots) default to the paper's configuration; the four BTB knobs set the
+// sbtb and cbtb schemes only. -scheme-opt scheme.key=value (repeatable)
+// overrides any registered scheme's typed configuration, winning over the
+// BTB knobs. -width selects the fetch widths of the frontend sweep/check
+// (default 1,2,4,8).
 //
 // -corpus DIR (default $BRANCHCOST_CORPUS) evaluates through the disk-backed
 // trace corpus: benchmarks with a matching entry replay from disk instead of
@@ -103,20 +105,21 @@ func main() {
 	}
 
 	outputFormat = *format
-	cfg := core.Config{
-		SBTBEntries: *entries, SBTBAssoc: *assoc,
-		CBTBEntries: *entries, CBTBAssoc: *assoc,
-		CounterBits: *bits,
-		EvalSlots:   slots,
-		Telemetry:   set,
-		MaxVMSteps:  *maxSteps,
-	}
+	var thresh *uint8
 	if *threshold >= 0 {
-		cfg.CounterThreshold = core.Ptr(uint8(*threshold))
+		thresh = predict.Ptr(uint8(*threshold))
 	}
-	if cfg.SchemeConfigs, err = predict.ParseOptions(schemeOpts); err != nil {
+	opts, err := predict.ParseOptions(schemeOpts)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "branchsim: %v\n", err)
 		os.Exit(2)
+	}
+	cfg := core.Config{
+		// The BTB flags are sugar for sbtb/cbtb options; -scheme-opt wins.
+		SchemeConfigs: predict.MergeSets(predict.BTBConfigs(*entries, *assoc, *bits, thresh), opts),
+		EvalSlots:     slots,
+		Telemetry:     set,
+		MaxVMSteps:    *maxSteps,
 	}
 	if *attrRep || *attrJSON != "" {
 		// Record attribution up front so the suite's cached evaluations carry

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	btrace -record -bench grep -o grep.bt      # record a benchmark (BCT2)
-//	btrace -record -format bct1 -o g.bt ...    # record in the legacy format
 //	btrace -record -o prog.bt prog.mc          # record an MC program (empty input)
 //	btrace grep.bt                             # replay through every context-free scheme
 //	btrace -scheme cbtb -entries 64 grep.bt    # one scheme, custom geometry
@@ -36,7 +35,8 @@
 // registry: every registered scheme that needs neither the program (for
 // static targets) nor a transformed binary can score a standalone trace.
 // BCT2 traces replay as a block stream (decode overlapped with scoring,
-// memory bounded by a few blocks); BCT1 traces are materialized first.
+// memory bounded by a few blocks); legacy BCT1 traces are materialized
+// first. Recording always writes BCT2; BCT1 is read-only.
 package main
 
 import (
@@ -72,7 +72,6 @@ func main() {
 		record      = flag.Bool("record", false, "record a trace instead of replaying")
 		bench       = flag.String("bench", "", "benchmark to record")
 		out         = flag.String("o", "trace.bt", "output path when recording")
-		format      = flag.String("format", "bct2", "recording format: bct1|bct2")
 		inspect     = flag.Bool("inspect", false, "describe a trace file instead of replaying")
 		verify      = flag.Bool("verify", false, "differentially verify schemes against the oracle (one trace file, or the whole -corpus)")
 		corpusDir   = flag.String("corpus", os.Getenv(corpus.EnvVar), "corpus directory (default $BRANCHCOST_CORPUS)")
@@ -130,7 +129,7 @@ func main() {
 	case *list:
 		doListSchemes(configs)
 	case *record:
-		doRecord(ctx, *bench, *out, *format, flag.Args(), *deadline, *maxSteps)
+		doRecord(ctx, *bench, *out, flag.Args(), *deadline, *maxSteps)
 	case *inspect:
 		if flag.NArg() != 1 {
 			fail(fmt.Errorf("-inspect needs one trace file"))
@@ -165,23 +164,18 @@ func (m *multiFlag) Set(s string) error {
 	return nil
 }
 
-// buildConfigs resolves the base geometry flags into a per-scheme config set
-// and layers the -scheme-opt overrides on top of them.
+// buildConfigs maps the BTB flags onto the sbtb/cbtb configs and layers
+// the -scheme-opt overrides on top of them.
 func buildConfigs(entries, assoc, bits, thresh int, opts []string) (predict.ConfigSet, error) {
-	geom := predict.BTBGeometry{Entries: entries, Assoc: assoc}
-	cbtb := predict.CBTBConfig{BTBGeometry: geom, CounterConfig: predict.CounterConfig{Bits: bits}}
+	var t *uint8
 	if thresh >= 0 {
-		cbtb.Threshold = predict.Ptr(uint8(thresh))
-	}
-	base := predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{BTBGeometry: geom},
-		"cbtb": cbtb,
+		t = predict.Ptr(uint8(thresh))
 	}
 	over, err := predict.ParseOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	return predict.MergeSets(base, over), nil
+	return predict.MergeSets(predict.BTBConfigs(entries, assoc, bits, t), over), nil
 }
 
 // doListSchemes prints every registered scheme with its resolved default
@@ -206,19 +200,7 @@ func doListSchemes(configs predict.ConfigSet) {
 	}
 }
 
-func traceFormat(f string) tracefile.Format {
-	switch f {
-	case "bct1":
-		return tracefile.FormatBCT1
-	case "bct2":
-		return tracefile.FormatBCT2
-	}
-	fail(fmt.Errorf("unknown format %q (bct1|bct2)", f))
-	panic("unreachable")
-}
-
-func doRecord(ctx context.Context, bench, out, format string, srcPaths []string, deadline time.Duration, maxSteps int64) {
-	f := traceFormat(format)
+func doRecord(ctx context.Context, bench, out string, srcPaths []string, deadline time.Duration, maxSteps int64) {
 	var prog *branchcost.Program
 	var inputs [][]byte
 	switch {
@@ -265,15 +247,15 @@ func doRecord(ctx context.Context, bench, out, format string, srcPaths []string,
 	}
 	defer of.Close()
 	bw := bufio.NewWriterSize(of, 1<<20)
-	n, err := t.WriteFormat(bw, f)
+	n, err := t.WriteTo(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("recorded %d branch events (%d instructions, %d runs) to %s (%s, %d bytes)\n",
-		t.Len(), t.Steps, t.Runs, out, f, n)
+	fmt.Printf("recorded %d branch events (%d instructions, %d runs) to %s (BCT2, %d bytes)\n",
+		t.Len(), t.Steps, t.Runs, out, n)
 }
 
 func openCorpus(dir string) *corpus.Store {
@@ -556,7 +538,7 @@ func doReplay(ctx context.Context, path, scheme string, configs predict.ConfigSe
 		evals[i] = &predict.Evaluator{P: predict.MustLookup(n).New(predict.SchemeContext{Configs: configs})}
 		if explain != nil {
 			// One recorder per evaluator: both the BCT2 stream fan-out and
-			// ScoreParallel give each hook its own goroutine, so the
+			// ScoreParallelContext give each hook its own goroutine, so the
 			// single-goroutine recorder rides its evaluator safely.
 			recs[i] = attr.NewRecorder(explain.opts)
 			evals[i].Obs = recs[i]

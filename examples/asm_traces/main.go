@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -79,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := tracefile.NewWriter(f)
+	tw, err := tracefile.NewBCT2Writer(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,16 +102,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := tracefile.NewReader(g)
+		tr, err := tracefile.NewBCT2Reader(g)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sbtb := &predict.Evaluator{P: btb.NewSBTB(entries, entries)}
 		cbtb := &predict.Evaluator{P: btb.NewCBTB(entries, entries, 2, 2)}
-		err = tr.Replay(func(ev vm.BranchEvent) {
-			sbtb.Observe(ev)
-			cbtb.Observe(ev)
-		})
+		err = tracefile.ScoreStream(context.Background(), tr, sbtb.Hook(), cbtb.Hook())
 		g.Close()
 		if err != nil {
 			log.Fatal(err)

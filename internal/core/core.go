@@ -34,34 +34,16 @@ import (
 	"branchcost/internal/workloads"
 )
 
-// Config selects the hardware configuration of the BTB schemes, the slot
+// Config selects the per-scheme configuration (SchemeConfigs), the slot
 // depth used when materializing the Forward Semantic binary, and which
 // registered schemes to score.
 //
-// Default rule: fields whose zero value is never valid (buffer geometry,
-// counter width) are plain ints where 0 means "paper configuration".
-// Sweepable fields whose zero value is meaningful — CounterThreshold: 0 is
-// a real threshold, EvalSlots: 0 a real (degenerate) transform — are
-// pointers where nil means "paper configuration"; build them with Ptr.
+// Default rule: EvalSlots, whose zero value is a real (degenerate)
+// transform, is a pointer where nil means "paper configuration"; build it
+// with Ptr. Scheme knobs live in SchemeConfigs, whose unset fields resolve
+// to each scheme's registry defaults (the paper's configuration for the
+// paper's schemes).
 type Config struct {
-	SBTBEntries int
-	SBTBAssoc   int
-
-	CBTBEntries int
-	CBTBAssoc   int
-	CounterBits int
-
-	// Two-level BTB geometry (the "btb2l" scheme). Zero fields resolve to
-	// predict.TwoLevelDefaults rather than the paper configuration — the
-	// 1989 paper has no two-level organization to default to.
-	BTBL1Entries int
-	BTBL1Assoc   int
-	BTBL2Entries int
-	BTBL2Assoc   int
-
-	// CounterThreshold is the CBTB taken threshold; nil means the paper's 2.
-	CounterThreshold *uint8
-
 	// EvalSlots is the k+ℓ used for the measured FS binary; nil means the
 	// paper's 2. The measured accuracy is independent of it (slots never
 	// execute), but the binary's layout and code growth depend on it.
@@ -74,7 +56,8 @@ type Config struct {
 
 	// CycleSim, when non-nil, runs the cycle-level pipeline simulator
 	// alongside each scheme's evaluation (one simulator instance per
-	// scheme, configured with these stage depths).
+	// scheme, configured with these stage depths, observing through
+	// Evaluator.Obs).
 	CycleSim *pipeline.CycleSim
 
 	// Schemes lists the registered predict.Scheme names to score, in report
@@ -109,81 +92,40 @@ type Config struct {
 	// means the VM default (1<<34).
 	MaxVMSteps int64
 
-	// SchemeConfigs carries per-scheme configuration overrides (typically
-	// parsed from -scheme-opt flags) layered over both the registry defaults
-	// and the flat geometry fields above; an override here wins over both.
+	// SchemeConfigs carries per-scheme configuration overrides layered over
+	// the registry defaults (predict.ConfigSet.Resolved). The CLIs build it
+	// from their BTB flags (predict.BTBConfigs) merged with -scheme-opt.
 	SchemeConfigs predict.ConfigSet
 
 	// Attribution, when non-nil, attaches a per-scheme attr.Recorder to every
 	// evaluator (Evaluator.Obs): the evaluation then carries per-site and
 	// per-window mispredict attribution in Eval.Attr, cross-checked against
-	// each scheme's aggregate Stats. Nil keeps the observer seam disabled
-	// (one nil check per scored event).
+	// each scheme's aggregate Stats. With neither this nor CycleSim set the
+	// observer seam stays disabled (one nil check per scored event).
 	Attribution *attr.Options
 }
 
 // Ptr returns a pointer to v, for the Config fields with pointer-or-nil
-// default semantics: core.Config{CounterThreshold: core.Ptr[uint8](0)}.
+// default semantics: core.Config{EvalSlots: core.Ptr(0)}.
 func Ptr[T any](v T) *T { return &v }
 
-// Paper is the configuration used throughout the paper's evaluation.
-var Paper = Config{
-	SBTBEntries: 256, SBTBAssoc: 256,
-	CBTBEntries: 256, CBTBAssoc: 256,
-	CounterBits: 2, CounterThreshold: Ptr[uint8](2),
-	EvalSlots: Ptr(2),
-}
+// Paper is the configuration used throughout the paper's evaluation. Its
+// schemes take their registry defaults, which are the paper's geometry.
+var Paper = Config{EvalSlots: Ptr(2)}
 
 // DefaultSchemes returns the paper's three schemes in its tables' order.
 func DefaultSchemes() []string { return []string{"sbtb", "cbtb", "fs"} }
 
 func (c Config) withDefaults() Config {
-	d := c
-	if d.SBTBEntries == 0 {
-		d.SBTBEntries = Paper.SBTBEntries
+	if c.EvalSlots == nil {
+		c.EvalSlots = Paper.EvalSlots
 	}
-	if d.SBTBAssoc == 0 {
-		d.SBTBAssoc = Paper.SBTBAssoc
-	}
-	if d.CBTBEntries == 0 {
-		d.CBTBEntries = Paper.CBTBEntries
-	}
-	if d.CBTBAssoc == 0 {
-		d.CBTBAssoc = Paper.CBTBAssoc
-	}
-	if d.CounterBits == 0 {
-		d.CounterBits = Paper.CounterBits
-	}
-	if d.CounterThreshold == nil {
-		d.CounterThreshold = Paper.CounterThreshold
-	}
-	if d.EvalSlots == nil {
-		d.EvalSlots = Paper.EvalSlots
-	}
-	return d
+	return c
 }
 
-// Configs returns the resolved per-scheme configuration set the registry's
-// constructors consume: the flat geometry fields expressed as typed
-// overrides, with Config.SchemeConfigs layered on top.
-func (c Config) Configs() predict.ConfigSet {
-	d := c.withDefaults()
-	cs := predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{
-			BTBGeometry: predict.BTBGeometry{Entries: d.SBTBEntries, Assoc: d.SBTBAssoc},
-		},
-		"cbtb": predict.CBTBConfig{
-			BTBGeometry:   predict.BTBGeometry{Entries: d.CBTBEntries, Assoc: d.CBTBAssoc},
-			CounterConfig: predict.CounterConfig{Bits: d.CounterBits, Threshold: d.CounterThreshold},
-		},
-		"btb2l": predict.TwoLevelConfig{
-			L1Entries: d.BTBL1Entries, L1Assoc: d.BTBL1Assoc,
-			L2Entries: d.BTBL2Entries, L2Assoc: d.BTBL2Assoc,
-			CounterConfig: predict.CounterConfig{Bits: d.CounterBits, Threshold: d.CounterThreshold},
-		},
-	}
-	return predict.MergeSets(cs, c.SchemeConfigs)
-}
+// Configs returns the per-scheme configuration set the registry's
+// constructors consume.
+func (c Config) Configs() predict.ConfigSet { return c.SchemeConfigs }
 
 // SchemeResult is one scheme's score on one benchmark.
 type SchemeResult struct {
@@ -224,8 +166,9 @@ type Eval struct {
 	Schemes map[string]SchemeResult
 
 	// Trace is the recorded counted-branch stream of the original binary
-	// over the evaluation inputs. Sweeps replay it (see Trace.ScoreParallel)
-	// instead of re-running the VM per configuration point.
+	// over the evaluation inputs. Sweeps replay it (see
+	// Trace.ScoreParallelContext) instead of re-running the VM per
+	// configuration point.
 	Trace *tracefile.Trace
 
 	// FSResult is the transform used for the FS measurement (layout, code
@@ -523,16 +466,17 @@ func EvaluateContext(ctx context.Context, name string, prog *isa.Program, profIn
 			ev:    &predict.Evaluator{P: sc.New(sctx), FlushEvery: cfg.FlushEvery},
 			cycle: cloneSim(cfg.CycleSim),
 		}
+		// Only non-nil observers reach Tee: a nil *CycleSim or *Recorder
+		// would become a non-nil interface and be called.
+		var obs []predict.Observer
 		if j.cycle != nil {
-			cyc := j.cycle
-			j.ev.OnResult = func(ev vm.BranchEvent, correct bool) {
-				cyc.OnBranch(correct, ev.Op.IsCondBranch())
-			}
+			obs = append(obs, j.cycle)
 		}
 		if cfg.Attribution != nil {
 			j.rec = attr.NewRecorder(*cfg.Attribution)
-			j.ev.Obs = j.rec
+			obs = append(obs, j.rec)
 		}
+		j.ev.Obs = predict.Tee(obs...)
 		jobs[i] = j
 		if sc.Transformed {
 			transformed = append(transformed, j)

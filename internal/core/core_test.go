@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"branchcost/internal/attr"
 	"branchcost/internal/compile"
 	"branchcost/internal/core"
 	"branchcost/internal/pipeline"
@@ -91,8 +92,8 @@ func TestZeroCounterThresholdExpressible(t *testing.T) {
 	}
 	// Threshold 0 (predict taken for any cached branch) is a meaningful
 	// sweep point; the nil/pointer rule must distinguish it from "unset".
-	zero, err := core.Evaluate("t", prog, testInputs, testInputs,
-		core.Config{CounterThreshold: core.Ptr[uint8](0)})
+	cfg := core.Config{SchemeConfigs: predict.BTBConfigs(256, 256, 2, predict.Ptr[uint8](0))}
+	zero, err := core.Evaluate("t", prog, testInputs, testInputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +102,12 @@ func TestZeroCounterThresholdExpressible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if zero.CBTB().Stats == dflt.CBTB().Stats {
-		t.Fatal("CounterThreshold: 0 was silently replaced by the default")
+		t.Fatal("cbtb threshold 0 was silently replaced by the default")
 	}
 	c := (core.Config{}).Configs().Resolved("cbtb").(predict.CBTBConfig)
 	if got := c.ThresholdValue(); got != 2 {
 		t.Fatalf("default threshold = %d, want 2", got)
 	}
-	cfg := core.Config{CounterThreshold: core.Ptr[uint8](0)}
 	c = cfg.Configs().Resolved("cbtb").(predict.CBTBConfig)
 	if got := c.ThresholdValue(); got != 0 {
 		t.Fatalf("explicit zero threshold resolved to %d", got)
@@ -193,6 +193,25 @@ func TestCycleSimAttachment(t *testing.T) {
 	// The template simulator itself must stay untouched.
 	if sim.Branches != 0 {
 		t.Fatal("config template mutated")
+	}
+
+	// Both observers on one evaluator: the simulator must count exactly
+	// what it counts alone, and the attribution recorder must still agree
+	// with each scheme's Stats (Evaluate fails otherwise).
+	both, err := core.Evaluate("t", prog, testInputs, testInputs,
+		core.Config{CycleSim: sim, Attribution: &attr.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range e.Order {
+		alone, shared := e.Scheme(name).Cycle, both.Scheme(name).Cycle
+		if shared.Branches != alone.Branches || shared.StallCycles != alone.StallCycles {
+			t.Fatalf("%s: with attribution the cycle sim counted %d branches/%d stalls, alone %d/%d",
+				name, shared.Branches, shared.StallCycles, alone.Branches, alone.StallCycles)
+		}
+		if both.Attr[name] == nil {
+			t.Fatalf("%s: attribution missing alongside the cycle sim", name)
+		}
 	}
 }
 

@@ -63,8 +63,7 @@ func TestManifestWarmCorpus(t *testing.T) {
 			t.Errorf("warm manifest lacks phase %q (has %v)", want, phases)
 		}
 	}
-	if m.Config.SBTBEntries != core.Paper.SBTBEntries ||
-		m.Config.CounterThreshold != *core.Paper.CounterThreshold {
+	if !paperSchemeConfigs(m.Config) {
 		t.Fatalf("manifest config not resolved to paper defaults: %+v", m.Config)
 	}
 	for _, name := range []string{"sbtb", "cbtb"} {
@@ -140,8 +139,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Config, m.Config) {
 		t.Fatalf("config lost in round-trip:\nwrote %+v\nread  %+v", m.Config, back.Config)
 	}
-	if back.Config.SBTBEntries != core.Paper.SBTBEntries ||
-		back.Config.CounterThreshold != *core.Paper.CounterThreshold {
+	if !paperSchemeConfigs(back.Config) {
 		t.Fatalf("decoded config not the resolved paper defaults: %+v", back.Config)
 	}
 	// Per-scheme counters, ratios and the Extra metric maps.
@@ -188,4 +186,13 @@ func TestManifestLiveRun(t *testing.T) {
 	if m.WallNS <= 0 {
 		t.Fatal("manifest lacks wall time")
 	}
+}
+
+// paperSchemeConfigs reports whether a manifest config records the paper's
+// slot depth and BTB geometry (256 entries, fully associative, 2-bit
+// counters at threshold 2) for the two BTB schemes.
+func paperSchemeConfigs(c core.ManifestConfig) bool {
+	return c.EvalSlots == *core.Paper.EvalSlots &&
+		c.SchemeConfigs["sbtb"] == "assoc=256 entries=256" &&
+		c.SchemeConfigs["cbtb"] == "assoc=256 bits=2 entries=256 threshold=2"
 }

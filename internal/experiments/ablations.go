@@ -33,8 +33,8 @@ func CounterSweep(s *Suite, names []string) ([]CounterSweepRow, *stats.Table, er
 		}
 		evs := make([]*predict.Evaluator, len(bitsList))
 		for i, bits := range bitsList {
-			th := uint8(1) << (bits - 1)
-			evs[i] = &predict.Evaluator{P: newScheme("cbtb", e, geometry(256, 256, bits, th))}
+			// A nil threshold resolves to half range, the sweep's rule.
+			evs[i] = &predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(256, 256, bits, nil))}
 		}
 		replayEvaluators(e.Trace, evs)
 		for i := range bitsList {
@@ -77,8 +77,8 @@ func SizeSweep(s *Suite, names []string) ([]SizeSweepRow, *stats.Table, error) {
 		var evs []*predict.Evaluator
 		for _, n := range sizes {
 			evs = append(evs,
-				&predict.Evaluator{P: newScheme("sbtb", e, geometry(n, n, 2, 2))},
-				&predict.Evaluator{P: newScheme("cbtb", e, geometry(n, n, 2, 2))})
+				&predict.Evaluator{P: newScheme("sbtb", e, predict.BTBConfigs(n, n, 2, nil))},
+				&predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(n, n, 2, nil))})
 		}
 		replayEvaluators(e.Trace, evs)
 		for i := range sizes {
@@ -126,8 +126,8 @@ func AssocSweep(s *Suite, names []string) ([]AssocSweepRow, *stats.Table, error)
 		var evs []*predict.Evaluator
 		for _, a := range asss {
 			evs = append(evs,
-				&predict.Evaluator{P: newScheme("sbtb", e, geometry(256, a, 2, 2))},
-				&predict.Evaluator{P: newScheme("cbtb", e, geometry(256, a, 2, 2))})
+				&predict.Evaluator{P: newScheme("sbtb", e, predict.BTBConfigs(256, a, 2, nil))},
+				&predict.Evaluator{P: newScheme("cbtb", e, predict.BTBConfigs(256, a, 2, nil))})
 		}
 		replayEvaluators(e.Trace, evs)
 		for i := range asss {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -110,7 +111,9 @@ func frontendSims(e *core.Eval, configs predict.ConfigSet, widths []int, schemes
 		}
 	}
 	if len(hwHooks) > 0 {
-		e.Trace.ScoreParallel(hwHooks...)
+		if err := e.Trace.ScoreParallelContext(context.TODO(), hwHooks...); err != nil {
+			return nil, err
+		}
 	}
 	if len(fsSimHooks) > 0 {
 		b, err := workloads.ByName(e.Name)
@@ -121,7 +124,9 @@ func frontendSims(e *core.Eval, configs predict.ConfigSet, widths []int, schemes
 		if err != nil {
 			return nil, err
 		}
-		fsTrace.ScoreParallel(fsSimHooks...)
+		if err := fsTrace.ScoreParallelContext(context.TODO(), fsSimHooks...); err != nil {
+			return nil, err
+		}
 	}
 	return sims, nil
 }

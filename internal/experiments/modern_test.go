@@ -5,14 +5,17 @@ import (
 
 	"branchcost/internal/core"
 	"branchcost/internal/experiments"
+	"branchcost/internal/predict"
 	"branchcost/internal/workloads"
 )
 
 // TestModernSuite: the modern-class table covers every registered class
-// member, scores every scheme of the panel, and its fs column agrees with
-// the suite's transformed-binary evaluation (not a bare-trace replay).
+// member, scores every scheme of the panel, its fs column agrees with the
+// suite's transformed-binary evaluation (not a bare-trace replay), and its
+// sbtb/cbtb columns agree with the evaluation under a non-paper BTB
+// geometry, so table and evaluation share one config path.
 func TestModernSuite(t *testing.T) {
-	s := experiments.NewSuite(core.Config{})
+	s := experiments.NewSuite(core.Config{SchemeConfigs: predict.BTBConfigs(64, 4, 3, nil)})
 	rows, table, err := experiments.ModernSuite(s)
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +43,11 @@ func TestModernSuite(t *testing.T) {
 		}
 		if got, want := r.Accuracy["fs"], e.FS().Stats.Accuracy(); got != want {
 			t.Errorf("%s: fs column %v != suite fs %v", b.Name, got, want)
+		}
+		for scheme, res := range map[string]core.SchemeResult{"sbtb": e.SBTB(), "cbtb": e.CBTB()} {
+			if got, want := r.Accuracy[scheme], res.Stats.Accuracy(); got != want {
+				t.Errorf("%s: %s column %v != suite %s %v", b.Name, scheme, got, scheme, want)
+			}
 		}
 	}
 }

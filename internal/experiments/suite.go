@@ -553,20 +553,6 @@ func newScheme(name string, e *core.Eval, configs predict.ConfigSet) predict.Pre
 	})
 }
 
-// geometry builds the configuration set for a swept BTB configuration
-// (same geometry for both buffers, as the ablation tables use).
-func geometry(entries, assoc, bits int, threshold uint8) predict.ConfigSet {
-	return predict.ConfigSet{
-		"sbtb": predict.SBTBConfig{
-			BTBGeometry: predict.BTBGeometry{Entries: entries, Assoc: assoc},
-		},
-		"cbtb": predict.CBTBConfig{
-			BTBGeometry:   predict.BTBGeometry{Entries: entries, Assoc: assoc},
-			CounterConfig: predict.CounterConfig{Bits: bits, Threshold: predict.Ptr(threshold)},
-		},
-	}
-}
-
 // replayEvaluators scores the evaluators over a recorded trace in parallel
 // — the sweeps' hot path: no VM re-execution per configuration point.
 func replayEvaluators(tr *tracefile.Trace, evs []*predict.Evaluator) {
@@ -574,5 +560,7 @@ func replayEvaluators(tr *tracefile.Trace, evs []*predict.Evaluator) {
 	for i, ev := range evs {
 		hooks[i] = ev.Hook()
 	}
-	tr.ScoreParallel(hooks...)
+	// The sweeps take no context yet and run uncancelled; an uncancellable
+	// context never errors.
+	_ = tr.ScoreParallelContext(context.TODO(), hooks...)
 }

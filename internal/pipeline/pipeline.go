@@ -16,7 +16,12 @@
 // execute pipeline).
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+
+	"branchcost/internal/predict"
+	"branchcost/internal/vm"
+)
 
 // Config describes one pipeline operating point of the cost model.
 type Config struct {
@@ -96,6 +101,12 @@ func (cs *CycleSim) OnBranch(correct, conditional bool) {
 		cs.condWrong++
 	}
 	cs.StallCycles += int64(stall)
+}
+
+// ObserveEvent implements predict.Observer, so a simulator rides an
+// evaluator's Obs seam: each scored branch is charged through OnBranch.
+func (cs *CycleSim) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
+	cs.OnBranch(out.Correct, ev.Op.IsCondBranch())
 }
 
 // TotalCycles is the cycle count for a run of steps dynamic instructions.

@@ -63,12 +63,7 @@ func TestWidthOneExactEquivalence(t *testing.T) {
 	const k, l, m = 1, 2, 2
 	sim := pipesim.New(1, k, l, m, btb.NewSBTB(256, 256))
 	cs := pipeline.NewCycleSim(k, l, m)
-	ev := &predict.Evaluator{
-		P: btb.NewSBTB(256, 256),
-		OnResult: func(e vm.BranchEvent, correct bool) {
-			cs.OnBranch(correct, e.Op.IsCondBranch())
-		},
-	}
+	ev := &predict.Evaluator{P: btb.NewSBTB(256, 256), Obs: cs}
 	hook := func(e vm.BranchEvent) {
 		sim.Hook()(e)
 		ev.Observe(e)

@@ -8,11 +8,11 @@ package predict
 // fields whose default depends on other fields (the counter threshold's
 // half-range rule).
 //
-// Default rule, shared with core.Config: fields whose zero value is never
-// valid (table sizes, history lengths, counter widths) are plain ints where
-// 0 means "use the scheme default". Fields whose zero value is meaningful —
-// a counter threshold of 0 is a real sweep point — are pointers where nil
-// means "derive the default"; build them with Ptr.
+// Default rule: fields whose zero value is never valid (table sizes, history
+// lengths, counter widths) are plain ints where 0 means "use the scheme
+// default". Fields whose zero value is meaningful — a counter threshold of 0
+// is a real sweep point — are pointers where nil means "derive the
+// default"; build them with Ptr.
 
 // SchemeConfig is the marker interface every typed scheme configuration
 // implements. Concrete types are plain structs of int and *uint8 fields
@@ -169,6 +169,18 @@ func (cs ConfigSet) Resolved(name string) SchemeConfig {
 		merged = n.normalize()
 	}
 	return merged
+}
+
+// BTBConfigs expresses the paper's BTB knobs as typed overrides for the two
+// BTB schemes: sbtb and cbtb get entries×assoc geometry, cbtb also the
+// counter width and threshold. A nil threshold resolves to the counter
+// midpoint. The CLIs' -entries/-assoc/-bits/-threshold flags map here.
+func BTBConfigs(entries, assoc, bits int, threshold *uint8) ConfigSet {
+	geom := BTBGeometry{Entries: entries, Assoc: assoc}
+	return ConfigSet{
+		"sbtb": SBTBConfig{BTBGeometry: geom},
+		"cbtb": CBTBConfig{BTBGeometry: geom, CounterConfig: CounterConfig{Bits: bits, Threshold: threshold}},
+	}
 }
 
 // MergeSets layers over on top of base, merging per-field where both sets

@@ -136,3 +136,21 @@ func TestDescribeOptionsStable(t *testing.T) {
 		t.Errorf("nil threshold rendered as %q, want threshold=auto", unresolved)
 	}
 }
+
+// TestBTBConfigsThresholdMidpoint: the BTB flags' nil threshold resolves
+// to the counter midpoint at any width (4 for 3-bit counters), while an
+// explicit zero threshold is a real sweep point and stays 0.
+func TestBTBConfigsThresholdMidpoint(t *testing.T) {
+	c := predict.BTBConfigs(256, 256, 3, nil).Resolved("cbtb").(predict.CBTBConfig)
+	if got := c.ThresholdValue(); got != 4 {
+		t.Fatalf("3-bit counter threshold = %d, want the midpoint 4", got)
+	}
+	c = predict.BTBConfigs(256, 256, 2, predict.Ptr[uint8](0)).Resolved("cbtb").(predict.CBTBConfig)
+	if got := c.ThresholdValue(); got != 0 {
+		t.Fatalf("explicit zero threshold resolved to %d", got)
+	}
+	s := predict.BTBConfigs(64, 4, 3, nil).Resolved("sbtb").(predict.SBTBConfig)
+	if s.Entries != 64 || s.Assoc != 4 {
+		t.Fatalf("sbtb geometry %+v, want 64 entries 4-way", s.BTBGeometry)
+	}
+}

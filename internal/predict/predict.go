@@ -107,11 +107,33 @@ type Outcome struct {
 }
 
 // Observer receives every scored branch together with its Outcome. It is the
-// attribution/forensics seam: internal/attr implements it to break aggregate
-// Stats down by site and by time window. A nil Observer in the Evaluator is
-// the disabled state and costs one inlined nil check per event.
+// evaluator's one per-event seam: internal/attr implements it to break
+// aggregate Stats down by site and by time window, and pipeline.CycleSim to
+// charge each misprediction's stall cycles. A nil Observer in the Evaluator
+// is the disabled state and costs one inlined nil check per event.
 type Observer interface {
 	ObserveEvent(ev vm.BranchEvent, out Outcome)
+}
+
+// Tee combines observers into one: nil for none, the observer itself for
+// one, and a fan-out calling each in argument order for several. Callers
+// pass only non-nil observers: a typed nil pointer is a non-nil interface.
+func Tee(obs ...Observer) Observer {
+	switch len(obs) {
+	case 0:
+		return nil
+	case 1:
+		return obs[0]
+	}
+	return tee(obs)
+}
+
+type tee []Observer
+
+func (t tee) ObserveEvent(ev vm.BranchEvent, out Outcome) {
+	for _, o := range t {
+		o.ObserveEvent(ev, out)
+	}
 }
 
 // Evaluator feeds a branch stream through a predictor and scores it.
@@ -124,12 +146,9 @@ type Evaluator struct {
 	FlushEvery int64
 	sinceFlush int64
 
-	// OnResult, when non-nil, receives each branch with the correctness of
-	// its prediction (used by the cycle-level pipeline simulator).
-	OnResult func(ev vm.BranchEvent, correct bool)
-
 	// Obs, when non-nil, receives every scored branch with its full Outcome
-	// (used by the attribution recorder). Observers must not mutate ev and
+	// (the cycle-level pipeline simulator and the attribution recorder;
+	// combine several with Tee). Observers must not mutate ev and
 	// must not themselves influence scoring: the evaluator's Stats are
 	// complete for the event before ObserveEvent runs.
 	Obs Observer
@@ -176,9 +195,6 @@ func (e *Evaluator) Observe(ev vm.BranchEvent) {
 		}
 	}
 	e.P.Update(ev)
-	if e.OnResult != nil {
-		e.OnResult(ev, correct)
-	}
 	if e.Obs != nil {
 		e.Obs.ObserveEvent(ev, Outcome{
 			Index:    e.S.Branches - 1,

@@ -1,6 +1,7 @@
 package predict_test
 
 import (
+	"fmt"
 	"testing"
 
 	"branchcost/internal/isa"
@@ -189,16 +190,34 @@ func TestEmptyStats(t *testing.T) {
 	}
 }
 
-func TestOnResultCallback(t *testing.T) {
-	var got []bool
-	e := &predict.Evaluator{
-		P:        predict.AlwaysNotTaken{},
-		OnResult: func(ev vm.BranchEvent, correct bool) { got = append(got, correct) },
+// recorder is an Observer that logs each outcome's correctness under a tag.
+type recorder struct {
+	tag string
+	log *[]string
+}
+
+func (r recorder) ObserveEvent(ev vm.BranchEvent, out predict.Outcome) {
+	*r.log = append(*r.log, fmt.Sprintf("%s%d:%v", r.tag, out.Index, out.Correct))
+}
+
+// TestTee: no observers tee to nil (the evaluator's disabled state), one
+// observer passes through unwrapped, and several see every outcome in
+// argument order.
+func TestTee(t *testing.T) {
+	if predict.Tee() != nil {
+		t.Fatal("Tee() != nil")
 	}
+	var log []string
+	a, b := recorder{"a", &log}, recorder{"b", &log}
+	if got := predict.Tee(a); got != predict.Observer(a) {
+		t.Fatalf("Tee(a) = %v, want a itself", got)
+	}
+	e := &predict.Evaluator{P: predict.AlwaysNotTaken{}, Obs: predict.Tee(a, b)}
 	e.Observe(ev(1, isa.BEQ, false, 0, false)) // correct
 	e.Observe(ev(1, isa.BEQ, true, 4, false))  // wrong
-	if len(got) != 2 || !got[0] || got[1] {
-		t.Fatalf("callback sequence: %v", got)
+	want := "[a0:true b0:true a1:false b1:false]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("observer sequence %s, want %s", got, want)
 	}
 }
 

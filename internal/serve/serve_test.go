@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"branchcost/internal/serve"
 	"branchcost/internal/telemetry"
 	"branchcost/internal/tracefile"
+	"branchcost/internal/vm"
 	"branchcost/internal/workloads"
 )
 
@@ -419,26 +422,35 @@ func TestServeUploadTrace(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	w := do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb,always-not-taken", bytes.NewReader(raw)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("upload eval = %d, body %s", w.Code, w.Body)
-	}
-	lines := ndjsonLines(t, w.Body)
-	var got []map[string]any
-	for _, m := range lines {
-		if m["kind"] == "scheme" {
-			got = append(got, m)
+	upload := func(body []byte) []map[string]any {
+		t.Helper()
+		w := do(s, httptest.NewRequest("POST", "/eval?schemes=sbtb,always-not-taken", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("upload eval = %d, body %s", w.Code, w.Body)
 		}
+		var got []map[string]any
+		for _, m := range ndjsonLines(t, w.Body) {
+			if m["kind"] == "scheme" {
+				got = append(got, m)
+			}
+		}
+		return got
 	}
+	got := upload(raw)
 	if len(got) != 2 || got[0]["scheme"] != "sbtb" || got[1]["scheme"] != "always-not-taken" {
 		t.Fatalf("upload stream schemes %v, want [sbtb always-not-taken]", got)
 	}
 	if got[0]["branches"].(float64) == 0 {
 		t.Fatal("upload replay scored zero branches")
 	}
+	// The upload contract also accepts the legacy BCT1 encoding, which only
+	// the decoder still speaks: the same trace must score identically.
+	if legacy := upload(bct1Encode(tr)); !reflect.DeepEqual(legacy, got) {
+		t.Fatalf("BCT1 upload scheme lines differ from BCT2:\nbct1 %v\nbct2 %v", legacy, got)
+	}
 
 	// Typed rejections: context-needing scheme, unknown scheme, oversize body.
-	w = do(s, httptest.NewRequest("POST", "/eval?schemes=fs", bytes.NewReader(raw)))
+	w := do(s, httptest.NewRequest("POST", "/eval?schemes=fs", bytes.NewReader(raw)))
 	if e := decodeError(t, w); w.Code != http.StatusBadRequest || e.Code != "scheme_needs_context" {
 		t.Fatalf("fs upload = %d/%s, want 400/scheme_needs_context", w.Code, e.Code)
 	}
@@ -455,4 +467,26 @@ func TestServeUploadTrace(t *testing.T) {
 	if e := decodeError(t, w); w.Code != http.StatusBadRequest || e.Code != "bad_trace" {
 		t.Fatalf("garbage upload = %d/%s, want 400/bad_trace", w.Code, e.Code)
 	}
+}
+
+// bct1Encode frames a recorded trace in the legacy BCT1 layout (magic,
+// uint64 count, 16-byte events), which the server decodes but the tracefile
+// package no longer writes.
+func bct1Encode(tr *tracefile.Trace) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint64([]byte("BCT1"), uint64(tr.Len()))
+	tr.Replay(func(ev vm.BranchEvent) {
+		out = le.AppendUint32(out, uint32(ev.PC))
+		out = le.AppendUint32(out, uint32(ev.ID))
+		out = le.AppendUint32(out, uint32(ev.Target))
+		var flags byte
+		if ev.Taken {
+			flags |= 1
+		}
+		if ev.Likely {
+			flags |= 2
+		}
+		out = append(out, byte(ev.Op), flags, 0, 0)
+	})
+	return out
 }

@@ -18,6 +18,27 @@ func bct1Seed(count uint64, events []byte) []byte {
 	return append(s, events...)
 }
 
+// bct1Encode frames a recorded trace as a BCT1 stream. The package writes
+// only BCT2, so the legacy layout the decoder still reads is built here.
+func bct1Encode(tr *tracefile.Trace) []byte {
+	var events []byte
+	le := binary.LittleEndian
+	tr.Replay(func(ev vm.BranchEvent) {
+		events = le.AppendUint32(events, uint32(ev.PC))
+		events = le.AppendUint32(events, uint32(ev.ID))
+		events = le.AppendUint32(events, uint32(ev.Target))
+		var flags byte
+		if ev.Taken {
+			flags |= 1
+		}
+		if ev.Likely {
+			flags |= 2
+		}
+		events = append(events, byte(ev.Op), flags, 0, 0)
+	})
+	return bct1Seed(uint64(tr.Len()), events)
+}
+
 // FuzzBCT1Decode is the legacy-format twin of FuzzBCT2Decode: whatever the
 // bytes, the fixed-width decoder must terminate without panicking, and any
 // failure after a valid header must be a located error (event index + byte
@@ -28,11 +49,7 @@ func FuzzBCT1Decode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT1); err != nil {
-		f.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := bct1Encode(tr)
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2]) // stream cut mid-event: count says more
 	f.Add(enc[:12])         // bare header, zero events delivered

@@ -21,14 +21,11 @@ import (
 // encodeBoth serializes one trace in both encodings.
 func encodeBoth(t *testing.T, tr *tracefile.Trace) (bct1, bct2 []byte) {
 	t.Helper()
-	var b1, b2 bytes.Buffer
-	if _, err := tr.WriteFormat(&b1, tracefile.FormatBCT1); err != nil {
+	var b2 bytes.Buffer
+	if _, err := tr.WriteTo(&b2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.WriteFormat(&b2, tracefile.FormatBCT2); err != nil {
-		t.Fatal(err)
-	}
-	return b1.Bytes(), b2.Bytes()
+	return bct1Encode(tr), b2.Bytes()
 }
 
 // TestBCT2RoundTripEveryBenchmark: for every benchmark of the suite, the
@@ -79,7 +76,7 @@ func TestBCT2RoundTripEveryBenchmark(t *testing.T) {
 func TestScoreStreamMatchesReplay(t *testing.T) {
 	tr, _ := liveEvents(t, "compress")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	mk := func() []*predict.Evaluator {
@@ -118,7 +115,7 @@ func TestScoreStreamMatchesReplay(t *testing.T) {
 func TestScoreStreamHonorsContext(t *testing.T) {
 	tr, _ := liveEvents(t, "wc")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	d, err := tracefile.NewBCT2Reader(bytes.NewReader(buf.Bytes()))
@@ -138,7 +135,7 @@ func bct2Bytes(t *testing.T) []byte {
 	t.Helper()
 	tr, _ := liveEvents(t, "wc")
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -201,9 +198,6 @@ func TestWriteToDefaultsToBCT2(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte("BCT2")) {
 		t.Fatalf("WriteTo wrote magic %q, want BCT2", buf.Bytes()[:4])
 	}
-	if _, err := tr.WriteFormat(io.Discard, tracefile.Format(9)); err == nil {
-		t.Fatal("unknown format accepted")
-	}
 }
 
 // FuzzBCT2Decode hammers the block decoder with mutated streams: whatever
@@ -215,7 +209,7 @@ func FuzzBCT2Decode(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := tr.WriteFormat(&buf, tracefile.FormatBCT2); err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	enc := buf.Bytes()

@@ -2,7 +2,6 @@ package tracefile
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -103,22 +102,9 @@ func (t *Trace) Hook() vm.BranchFunc {
 // Replay feeds every recorded event to hook, in recording order,
 // reconstructing each vm.BranchEvent exactly as the VM emitted it.
 func (t *Trace) Replay(hook vm.BranchFunc) {
-	sites, stream := t.sites, t.stream
-	for i := 0; i < len(stream); i++ {
-		w := stream[i]
-		s := &sites[w>>1]
-		taken := w&1 != 0
-		target := s.fallTarget
-		if taken {
-			target = s.takenTarget
-		}
-		if s.op == isa.JMPI {
-			i++
-			target = int32(stream[i])
-		}
-		hook(vm.BranchEvent{PC: s.pc, ID: s.id, Op: s.op,
-			Taken: taken, Target: target, Likely: s.likely})
-	}
+	// A background context never cancels and carries no telemetry, so the
+	// error is structurally nil and no replay counter moves.
+	_ = t.replayCtx(context.Background(), hook)
 }
 
 // ctxCheckEvery is how many replayed events pass between cancellation
@@ -126,7 +112,7 @@ func (t *Trace) Replay(hook vm.BranchFunc) {
 // cancellation lands within microseconds.
 const ctxCheckEvery = 1 << 16
 
-// replayCtx is Replay with periodic cancellation checks. The per-event
+// replayCtx is the one replay loop, with periodic cancellation checks. The per-event
 // counter update is the telemetry layer's hot-path contract: with no Set in
 // ctx the counter is nil and each Inc is an inlined nil check
 // (benchmark-asserted ≤2ns/op in replay_overhead_test.go). With telemetry
@@ -176,18 +162,12 @@ func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 	return nil
 }
 
-// ScoreParallel replays the trace once per hook, fanning the replays out
-// over a worker pool bounded by GOMAXPROCS. The trace is read-only during
-// replay, so hooks only need their own state to be private (each predictor
-// evaluator is).
-func (t *Trace) ScoreParallel(hooks ...vm.BranchFunc) {
-	// Background contexts never cancel, so the error is structurally nil.
-	_ = t.ScoreParallelContext(context.Background(), hooks...)
-}
-
-// ScoreParallelContext is ScoreParallel with cancellation: when ctx is
-// cancelled mid-replay the workers stop within ctxCheckEvery events and the
-// context's error is returned; the hooks' partial state is then meaningless.
+// ScoreParallelContext replays the trace once per hook, fanning the replays
+// out over a worker pool bounded by GOMAXPROCS. The trace is read-only
+// during replay, so hooks only need their own state to be private (each
+// predictor evaluator is). When ctx is cancelled mid-replay the workers stop
+// within ctxCheckEvery events and the context's error is returned; the
+// hooks' partial state is then meaningless.
 func (t *Trace) ScoreParallelContext(ctx context.Context, hooks ...vm.BranchFunc) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(hooks) {
@@ -279,27 +259,6 @@ func RecordConfig(ctx context.Context, p *isa.Program, inputs [][]byte, cfg vm.C
 	return t, nil
 }
 
-// Format identifies a trace-file encoding.
-type Format uint8
-
-const (
-	// FormatBCT1 is the fixed-width legacy encoding: 16 bytes per event.
-	FormatBCT1 Format = 1
-	// FormatBCT2 is the block-structured varint+delta encoding with
-	// per-block checksums; the default for new files and the corpus.
-	FormatBCT2 Format = 2
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatBCT1:
-		return "BCT1"
-	case FormatBCT2:
-		return "BCT2"
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
 // countingWriter tracks bytes written, for the io.WriterTo contract.
 type countingWriter struct {
 	w io.Writer
@@ -312,54 +271,17 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo serializes the trace in the BCT2 format. It implements
-// io.WriterTo; unlike the streaming Writer no seeking is needed, since a
-// materialized trace knows its event count upfront.
+// WriteTo serializes the trace in the BCT2 format, the only encoding
+// written. It implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	return t.WriteFormat(w, FormatBCT2)
-}
-
-// WriteFormat serializes the trace in the requested encoding.
-func (t *Trace) WriteFormat(w io.Writer, f Format) (int64, error) {
 	cw := &countingWriter{w: w}
-	switch f {
-	case FormatBCT1:
-		var hdr [12]byte
-		copy(hdr[:4], magic[:])
-		binary.LittleEndian.PutUint64(hdr[4:], uint64(t.events))
-		if _, err := cw.Write(hdr[:]); err != nil {
-			return cw.n, err
-		}
-		var buf [eventSize]byte
-		var werr error
-		t.Replay(func(ev vm.BranchEvent) {
-			if werr != nil {
-				return
-			}
-			encodeEvent16(&buf, ev)
-			_, werr = cw.Write(buf[:])
-		})
-		return cw.n, werr
-	case FormatBCT2:
-		tw, err := NewBCT2Writer(cw)
-		if err != nil {
-			return cw.n, err
-		}
-		tw.Steps, tw.Runs = t.Steps, t.Runs
-		t.Replay(tw.Record)
-		return cw.n, tw.Close()
+	tw, err := NewBCT2Writer(cw)
+	if err != nil {
+		return cw.n, err
 	}
-	return 0, fmt.Errorf("tracefile: unknown format %v", f)
-}
-
-// Dump serializes the trace.
-//
-// Deprecated: Dump predates WriteTo and demanded an io.WriteSeeker the
-// encoding never actually needs; use WriteTo (or WriteFormat to pin an
-// encoding).
-func (t *Trace) Dump(w io.WriteSeeker) error {
-	_, err := t.WriteTo(w)
-	return err
+	tw.Steps, tw.Runs = t.Steps, t.Runs
+	t.Replay(tw.Record)
+	return cw.n, tw.Close()
 }
 
 // ReadTrace loads a serialized trace stream — either format, dispatched on

@@ -6,9 +6,10 @@
 // without re-executing the program.
 //
 // Two file encodings exist, dispatched on their 4-byte magic by ReadTrace:
-// the fixed-width legacy BCT1 below, and the block-structured compressed
-// BCT2 (see bct2.go), which is the default for new files and the on-disk
-// corpus.
+// the fixed-width legacy BCT1 below, which is read-only (kept so old files
+// and BCT1 uploads still decode), and the block-structured compressed BCT2
+// (see bct2.go), the only encoding written — by Trace.WriteTo, BCT2Writer
+// and the on-disk corpus.
 //
 // BCT1 format (little-endian):
 //
@@ -22,8 +23,8 @@
 //	    flags  uint8 (bit0 taken, bit1 likely)
 //	    pad    uint16
 //
-// Events are buffered through the provided io.Writer/Reader; callers wrap
-// files in bufio when writing to disk.
+// Events are read through the provided io.Reader; callers wrap files in
+// bufio.
 package tracefile
 
 import (
@@ -43,88 +44,7 @@ const eventSize = 16
 // ErrBadMagic reports a stream that is not a trace file.
 var ErrBadMagic = errors.New("tracefile: bad magic")
 
-// Writer streams branch events to w.
-type Writer struct {
-	w     io.WriteSeeker
-	buf   [eventSize]byte
-	count uint64
-	err   error
-}
-
-// NewWriter writes the header and returns a writer. The count field is
-// back-patched by Close, so w must support seeking.
-func NewWriter(w io.WriteSeeker) (*Writer, error) {
-	tw := &Writer{w: w}
-	var hdr [12]byte
-	copy(hdr[:4], magic[:])
-	if _, err := w.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return tw, nil
-}
-
-// Hook returns a vm.BranchFunc recording every counted branch (CALL events
-// pass through unrecorded, matching the evaluator's view).
-func (tw *Writer) Hook() vm.BranchFunc {
-	return func(ev vm.BranchEvent) {
-		if !ev.Op.IsBranch() {
-			return
-		}
-		tw.Record(ev)
-	}
-}
-
-// encodeEvent16 packs one event into the BCT1 fixed-width layout.
-func encodeEvent16(b *[eventSize]byte, ev vm.BranchEvent) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(ev.PC))
-	binary.LittleEndian.PutUint32(b[4:], uint32(ev.ID))
-	binary.LittleEndian.PutUint32(b[8:], uint32(ev.Target))
-	b[12] = uint8(ev.Op)
-	var flags uint8
-	if ev.Taken {
-		flags |= 1
-	}
-	if ev.Likely {
-		flags |= 2
-	}
-	b[13] = flags
-	b[14], b[15] = 0, 0
-}
-
-// Record appends one event.
-func (tw *Writer) Record(ev vm.BranchEvent) {
-	if tw.err != nil {
-		return
-	}
-	encodeEvent16(&tw.buf, ev)
-	if _, err := tw.w.Write(tw.buf[:]); err != nil {
-		tw.err = err
-		return
-	}
-	tw.count++
-}
-
-// Close back-patches the event count. The underlying file remains open.
-func (tw *Writer) Close() error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if _, err := tw.w.Seek(4, io.SeekStart); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], tw.count)
-	if _, err := tw.w.Write(cnt[:]); err != nil {
-		return err
-	}
-	_, err := tw.w.Seek(0, io.SeekEnd)
-	return err
-}
-
-// Count returns the number of events recorded so far.
-func (tw *Writer) Count() uint64 { return tw.count }
-
-// Reader replays a trace.
+// Reader replays a BCT1 trace.
 type Reader struct {
 	r      io.Reader
 	buf    [eventSize]byte

@@ -12,42 +12,15 @@ import (
 	"branchcost/internal/predict"
 	"branchcost/internal/tracefile"
 	"branchcost/internal/vm"
-	"branchcost/internal/workloads"
 )
 
-// tempTrace records the given benchmark's run-0 branch stream to a file and
-// returns the path plus the live-measured events.
+// tempTrace records the given benchmark's run-0 branch stream to a BCT1
+// file and returns the path plus the live-measured events.
 func tempTrace(t *testing.T, name string) (string, []vm.BranchEvent) {
 	t.Helper()
-	b, err := workloads.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := b.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, live := liveEvents(t, name)
 	path := filepath.Join(t.TempDir(), name+".bt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tw, err := tracefile.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var live []vm.BranchEvent
-	hook := func(ev vm.BranchEvent) {
-		tw.Hook()(ev)
-		if ev.Op.IsBranch() {
-			live = append(live, ev)
-		}
-	}
-	if _, err := vm.Run(prog, b.Input(0), hook, vm.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
+	if err := os.WriteFile(path, bct1Encode(tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path, live

@@ -27,7 +27,7 @@ type Config struct {
 	// a cancelled or expired context traps the run with the context's error
 	// (located like any other trap). This is the watchdog seam that lets a
 	// per-benchmark deadline kill a hung workload mid-run instead of waiting
-	// out the full MaxSteps budget. RunContext sets it from its argument.
+	// out the full MaxSteps budget.
 	Ctx context.Context
 
 	// Trace, when non-nil, receives the code position of every executed
@@ -105,13 +105,6 @@ func (t *trapError) Unwrap() error { return t.err }
 // RunCount counts Run invocations process-wide. Tests and benchmarks read
 // it to assert that warm-corpus evaluations perform no VM execution.
 var RunCount atomic.Int64
-
-// RunContext is Run under a context: the interpreter polls ctx periodically
-// and traps with its error once it is cancelled or past its deadline.
-func RunContext(ctx context.Context, p *isa.Program, input []byte, hook BranchFunc, cfg Config) (Result, error) {
-	cfg.Ctx = ctx
-	return Run(p, input, hook, cfg)
-}
 
 // Run executes p on the given input bytes. hook, if non-nil, is invoked for
 // every executed counted branch.

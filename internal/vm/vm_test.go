@@ -269,7 +269,7 @@ func TestRunContextDeadlineKillsHungProgram(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := vm.RunContext(ctx, p, nil, nil, vm.Config{MemWords: 128})
+	res, err := vm.Run(p, nil, nil, vm.Config{MemWords: 128, Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded in chain", err)
 	}
@@ -289,7 +289,7 @@ func TestRunContextCancelKillsHungProgram(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err := vm.RunContext(ctx, p, nil, nil, vm.Config{MemWords: 128})
+	_, err := vm.Run(p, nil, nil, vm.Config{MemWords: 128, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled in chain", err)
 	}
