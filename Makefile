@@ -88,6 +88,7 @@ telemetry-check:
 	$(GO) vet ./internal/telemetry ./internal/core ./internal/experiments
 	$(GO) test -race -short ./internal/telemetry
 	$(GO) test -race -short -run 'TestSuiteTelemetry|TestSuiteSingleflight' ./internal/experiments
+	$(GO) test -race -short -run 'TestReplay(EventCounter|Counter)' ./internal/tracefile
 
 build:
 	$(GO) build ./...

@@ -251,6 +251,20 @@ func BenchmarkCBTB(b *testing.B) {
 	}
 }
 
+// BenchmarkBufferEvictionStorm measures the victim path: 1024 PCs
+// round-robin through the paper's 256-entry fully associative buffer, so
+// every Insert evicts the set's LRU line.
+func BenchmarkBufferEvictionStorm(b *testing.B) {
+	buf := btb.NewBuffer(256, 256)
+	for pc := int32(0); pc < 1024; pc++ {
+		buf.Insert(pc)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Insert(int32(i % 1024))
+	}
+}
+
 // BenchmarkCompile measures MC compilation of the largest benchmark source.
 func BenchmarkCompile(b *testing.B) {
 	bench, err := workloads.ByName("cccp")

@@ -6,7 +6,9 @@
 package btb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"branchcost/internal/predict"
 	"branchcost/internal/vm"
@@ -28,10 +30,17 @@ type Entry struct {
 //
 // Membership is tracked in a pc -> slot index so Lookup and Delete cost
 // O(1) regardless of associativity (a 1024-entry fully-associative lookup
-// per branch event would otherwise dominate every sweep); only choosing an
-// eviction victim scans the set, and only when the set is full. The index
-// is a dense slice — branch PCs are small nonnegative program positions, so
+// per branch event would otherwise dominate every sweep). The index is a
+// dense slice — branch PCs are small nonnegative program positions, so
 // direct indexing beats hashing on the simulator's hottest operation.
+//
+// A hit costs one LRU stamp store. Choosing an eviction victim is amortized
+// O(1). Each set keeps a snapshot of its slots sorted by stamp, and a full
+// set evicts the first snapshot line whose stamp is unchanged since the
+// snapshot was taken. That line is the exact LRU line: lines untouched
+// since the snapshot keep their relative order, and every line touched or
+// inserted since carries a newer stamp than all of them. The set is
+// re-sorted, into the same slice, only when its snapshot runs out.
 type Buffer struct {
 	sets  [][]Entry
 	free  [][]int32 // per-set stack of invalid slots
@@ -40,9 +49,22 @@ type Buffer struct {
 	assoc int
 	clock uint64
 
+	// Victim snapshots, allocated on the first eviction: order[si] is the
+	// unconsumed tail of set si's stamp-sorted snapshot, a window of
+	// orderBuf.
+	order    [][]stamped
+	orderBuf []stamped
+
 	// Capacity metrics.
 	inserts int64
 	evicts  int64
+}
+
+// stamped is one line of a victim snapshot: a slot and the LRU stamp it had
+// when the snapshot was taken.
+type stamped struct {
+	lru  uint64
+	slot int32
 }
 
 // NewBuffer returns a buffer with the given total entries and associativity.
@@ -142,13 +164,7 @@ func (b *Buffer) Insert(pc int32) *Entry {
 		slot = f[len(f)-1]
 		b.free[si] = f[:len(f)-1]
 	} else {
-		// Set full: evict the least recently used line. Stamps are unique
-		// (the clock advances on every access), so the victim is unique.
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[slot].lru {
-				slot = int32(i)
-			}
-		}
+		slot = b.victim(si, set)
 		b.index[set[slot].PC] = 0
 		b.evicts++
 		b.count--
@@ -158,6 +174,36 @@ func (b *Buffer) Insert(pc int32) *Entry {
 	set[slot] = Entry{PC: pc, valid: true, lru: b.clock}
 	b.index[pc] = slot + 1
 	return &set[slot]
+}
+
+// victim returns the LRU slot of the full set si and drops it from the
+// set's snapshot. Stamps are unique (the clock advances on every access)
+// and valid lines' stamps are nonzero, so a slot refilled, refreshed or
+// deleted since the snapshot never matches its snapshot stamp.
+func (b *Buffer) victim(si uint32, set []Entry) int32 {
+	if b.order == nil {
+		b.order = make([][]stamped, len(b.sets))
+		b.orderBuf = make([]stamped, len(b.sets)*b.assoc)
+		for i := range b.orderBuf {
+			b.orderBuf[i].slot = int32(i % b.assoc)
+		}
+	}
+	order := b.order[si]
+	for {
+		for i, v := range order {
+			if set[v.slot].lru == v.lru {
+				b.order[si] = order[i+1:]
+				return v.slot
+			}
+		}
+		// Re-stamp the previous snapshot in place. Its victims were refilled
+		// in the order it listed them, so the sort mostly finds runs.
+		order = b.orderBuf[int(si)*b.assoc : (int(si)+1)*b.assoc]
+		for i, v := range order {
+			order[i].lru = set[v.slot].lru
+		}
+		slices.SortFunc(order, func(x, y stamped) int { return cmp.Compare(x.lru, y.lru) })
+	}
 }
 
 // Delete invalidates the entry for pc if present.

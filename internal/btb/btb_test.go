@@ -77,6 +77,39 @@ func TestBufferLRUReplacement(t *testing.T) {
 	}
 }
 
+// TestBufferEvictionAllocs: once a full 256-way set has taken its first
+// eviction, choosing a victim allocates nothing — neither when the victim
+// snapshot is consumed in order (round-robin) nor when a burst re-touches
+// every resident line and forces the set to be re-sorted.
+func TestBufferEvictionAllocs(t *testing.T) {
+	b := btb.NewBuffer(256, 256)
+	next := int32(0)
+	insert := func() {
+		b.Insert(next % 1024)
+		next++
+	}
+	for i := 0; i < 1024; i++ {
+		insert()
+	}
+	if got := testing.AllocsPerRun(1000, insert); got != 0 {
+		t.Errorf("round-robin Insert: %v allocs/op, want 0", got)
+	}
+	burst := func() {
+		for pc := next - 256; pc < next; pc++ {
+			if _, ok := b.Lookup(pc % 1024); !ok {
+				t.Fatalf("resident pc %d missing", pc%1024)
+			}
+		}
+		insert()
+	}
+	if got := testing.AllocsPerRun(100, burst); got != 0 {
+		t.Errorf("Insert after a touch burst: %v allocs/op, want 0", got)
+	}
+	if b.Evictions() != int64(next)-256 {
+		t.Errorf("evictions = %d after %d inserts into 256 lines", b.Evictions(), next)
+	}
+}
+
 func TestBufferSetIsolation(t *testing.T) {
 	// 2 sets x 2 ways: even PCs and odd PCs index different sets.
 	b := btb.NewBuffer(4, 2)

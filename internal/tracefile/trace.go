@@ -107,18 +107,21 @@ func (t *Trace) Replay(hook vm.BranchFunc) {
 	_ = t.replayCtx(context.Background(), hook)
 }
 
-// ctxCheckEvery is how many replayed events pass between cancellation
-// checks; coarse enough to keep the replay loop tight, fine enough that
-// cancellation lands within microseconds.
+// ctxCheckEvery is how many stream words pass between cancellation checks
+// and replay-counter flushes; coarse enough to keep the replay loop tight,
+// fine enough that cancellation lands within microseconds. A JMPI event
+// spends two words, so a chunk holds at most ctxCheckEvery events.
 const ctxCheckEvery = 1 << 16
 
-// replayCtx is the one replay loop, with periodic cancellation checks. The per-event
-// counter update is the telemetry layer's hot-path contract: with no Set in
-// ctx the counter is nil and each Inc is an inlined nil check
-// (benchmark-asserted ≤2ns/op in replay_overhead_test.go). With telemetry
-// enabled, the latency of each ctxCheckEvery-event chunk also lands in the
-// "tracefile.replay.latency_ns" histogram — chunk granularity keeps the
-// clock reads off the per-event path entirely.
+// replayCtx is the one replay loop, with periodic cancellation checks.
+// Events are counted in a local variable and added to the
+// "tracefile.replay.events" counter once per ctxCheckEvery-word chunk and
+// on every return, cancellation included, so the per-event path carries
+// neither an atomic nor a nil check, and the counter equals the hook calls
+// made once replay returns. Parallel workers each flush their own count
+// into the shared counter. With telemetry enabled, the latency of each
+// chunk also lands in the "tracefile.replay.latency_ns" histogram — chunk
+// granularity keeps the clock reads off the per-event path entirely.
 func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 	set := telemetry.FromContext(ctx)
 	events := set.Counter("tracefile.replay.events")
@@ -129,8 +132,11 @@ func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 	}
 	sites, stream := t.sites, t.stream
 	next := ctxCheckEvery
+	var n int64 // events replayed since the last flush
 	for i := 0; i < len(stream); i++ {
 		if i >= next {
+			events.Add(n)
+			n = 0
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -141,7 +147,7 @@ func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 				chunkStart = now
 			}
 		}
-		events.Inc()
+		n++
 		w := stream[i]
 		s := &sites[w>>1]
 		taken := w&1 != 0
@@ -156,6 +162,7 @@ func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 		hook(vm.BranchEvent{PC: s.pc, ID: s.id, Op: s.op,
 			Taken: taken, Target: target, Likely: s.likely})
 	}
+	events.Add(n)
 	if latency != nil && len(stream) > 0 {
 		latency.Observe(time.Since(chunkStart).Nanoseconds())
 	}
@@ -166,7 +173,7 @@ func (t *Trace) replayCtx(ctx context.Context, hook vm.BranchFunc) error {
 // out over a worker pool bounded by GOMAXPROCS. The trace is read-only
 // during replay, so hooks only need their own state to be private (each
 // predictor evaluator is). When ctx is cancelled mid-replay the workers stop
-// within ctxCheckEvery events and the context's error is returned; the
+// within ctxCheckEvery stream words and the context's error is returned; the
 // hooks' partial state is then meaningless.
 func (t *Trace) ScoreParallelContext(ctx context.Context, hooks ...vm.BranchFunc) error {
 	workers := runtime.GOMAXPROCS(0)
